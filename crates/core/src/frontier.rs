@@ -9,9 +9,16 @@
 //! generation, and the frontier may start lower — the paper's §VI-D
 //! "gap", which the application is responsible for handling, is surfaced
 //! through the `generation` field of [`FrontierUpdate`].
+//!
+//! The ACK path is index-driven and allocation-free: each predicate owns
+//! a slot, a `(stream, node, ack-type)` cell index lists the slots that
+//! read each cell (in key order, so updates come out in key order), one
+//! engine-owned VM scratch serves every evaluation, and each slot keeps
+//! its own blocked waiters. The only allocation an advance makes is the
+//! `String` key of each [`FrontierUpdate`] it emits.
 
 use crate::recorder::AckRecorder;
-use stabilizer_dsl::{AckTypeId, NodeId, Predicate, SeqNo};
+use stabilizer_dsl::{AckTypeId, EvalScratch, NodeId, Predicate, SeqNo};
 use std::collections::BTreeMap;
 
 /// Token identifying a blocked `waitfor` call; returned to the driver
@@ -31,30 +38,85 @@ pub struct FrontierUpdate {
     pub generation: u32,
 }
 
+/// Index of a registered predicate in [`FrontierEngine`]'s slot table.
+type SlotId = u32;
+
 #[derive(Debug)]
-struct Entry {
+struct Slot {
+    stream: NodeId,
+    key: String,
     predicate: Predicate,
     frontier: SeqNo,
     generation: u32,
+    /// Blocked waiters `(seq, token)` on this key, in insertion order.
+    waiters: Vec<(SeqNo, WaitToken)>,
 }
 
-#[derive(Debug)]
-struct Waiter {
-    stream: NodeId,
-    key: String,
-    seq: SeqNo,
-    token: WaitToken,
+impl Slot {
+    fn update(&self) -> FrontierUpdate {
+        FrontierUpdate {
+            stream: self.stream,
+            key: self.key.clone(),
+            seq: self.frontier,
+            generation: self.generation,
+        }
+    }
+
+    /// Complete every waiter the frontier now covers, in insertion order.
+    fn drain_waiters(&mut self, completed: &mut Vec<WaitToken>) {
+        let frontier = self.frontier;
+        self.waiters.retain(|&(seq, token)| {
+            if seq <= frontier {
+                completed.push(token);
+                false
+            } else {
+                true
+            }
+        });
+    }
+}
+
+/// `(stream, node, ack-type)` → the slots whose predicate reads that
+/// cell, each list in key order. Dense, grown on demand.
+#[derive(Debug, Default)]
+struct CellIndex {
+    streams: Vec<Vec<Vec<Vec<SlotId>>>>,
+}
+
+impl CellIndex {
+    fn readers(&self, stream: NodeId, node: NodeId, ty: AckTypeId) -> &[SlotId] {
+        self.streams
+            .get(stream.0 as usize)
+            .and_then(|nodes| nodes.get(node.0 as usize))
+            .and_then(|types| types.get(ty.0 as usize))
+            .map_or(&[], Vec::as_slice)
+    }
+
+    fn readers_mut(&mut self, stream: NodeId, node: NodeId, ty: AckTypeId) -> &mut Vec<SlotId> {
+        fn at<T: Default>(v: &mut Vec<T>, i: u16) -> &mut T {
+            let i = i as usize;
+            if v.len() <= i {
+                v.resize_with(i + 1, T::default);
+            }
+            &mut v[i]
+        }
+        at(at(at(&mut self.streams, stream.0), node.0), ty.0)
+    }
 }
 
 /// Registry of compiled predicates with per-entry frontier state and
 /// blocked waiters.
 #[derive(Debug, Default)]
 pub struct FrontierEngine {
-    // BTreeMap, not HashMap: `on_ack_advance` and `exclude_node` iterate
-    // this map and emit `FrontierUpdate`s in iteration order, which must
-    // be identical across processes for seed replay to be byte-stable.
-    entries: BTreeMap<(NodeId, String), Entry>,
-    waiters: Vec<Waiter>,
+    /// Slot table; `None` marks a free slot (listed in `free`).
+    slots: Vec<Option<Slot>>,
+    free: Vec<SlotId>,
+    // BTreeMap, not HashMap: `exclude_node` iterates this map and emits
+    // `FrontierUpdate`s in iteration order, which must be identical
+    // across processes for seed replay to be byte-stable.
+    slot_of: BTreeMap<NodeId, BTreeMap<String, SlotId>>,
+    index: CellIndex,
+    scratch: EvalScratch,
     evals: u64,
 }
 
@@ -77,28 +139,47 @@ impl FrontierEngine {
         out: &mut Vec<FrontierUpdate>,
         completed: &mut Vec<WaitToken>,
     ) {
-        let generation = self
-            .entries
-            .get(&(stream, key.to_owned()))
-            .map(|e| e.generation + 1)
-            .unwrap_or(0);
-        self.evals += 1;
-        let frontier = predicate.eval(&recorder.stream_view(stream));
-        let entry = Entry {
-            predicate,
-            frontier,
-            generation,
+        let id = match self.lookup(stream, key) {
+            Some(id) => {
+                self.replace(id, predicate, recorder);
+                id
+            }
+            None => {
+                self.evals += 1;
+                let frontier =
+                    predicate.eval_with(&recorder.stream_view(stream), &mut self.scratch);
+                let slot = Slot {
+                    stream,
+                    key: key.to_owned(),
+                    predicate,
+                    frontier,
+                    generation: 0,
+                    waiters: Vec::new(),
+                };
+                let id = match self.free.pop() {
+                    Some(id) => {
+                        self.slots[id as usize] = Some(slot);
+                        id
+                    }
+                    None => {
+                        self.slots.push(Some(slot));
+                        SlotId::try_from(self.slots.len() - 1)
+                            .expect("fewer than 2^32 registered predicates")
+                    }
+                };
+                self.slot_of
+                    .entry(stream)
+                    .or_default()
+                    .insert(key.to_owned(), id);
+                self.link(id);
+                id
+            }
         };
-        self.entries.insert((stream, key.to_owned()), entry);
-        if frontier > 0 {
-            out.push(FrontierUpdate {
-                stream,
-                key: key.to_owned(),
-                seq: frontier,
-                generation,
-            });
+        let slot = self.slot_mut(id);
+        if slot.frontier > 0 {
+            out.push(slot.update());
         }
-        self.drain_waiters(stream, key, frontier, completed);
+        slot.drain_waiters(completed);
     }
 
     /// Replace the predicate under an existing key, bumping its
@@ -116,22 +197,10 @@ impl FrontierEngine {
         out: &mut Vec<FrontierUpdate>,
         completed: &mut Vec<WaitToken>,
     ) -> bool {
-        let Some(entry) = self.entries.get_mut(&(stream, key.to_owned())) else {
+        let Some(id) = self.lookup(stream, key) else {
             return false;
         };
-        self.evals += 1;
-        entry.generation += 1;
-        entry.predicate = predicate;
-        entry.frontier = entry.predicate.eval(&recorder.stream_view(stream));
-        let update = FrontierUpdate {
-            stream,
-            key: key.to_owned(),
-            seq: entry.frontier,
-            generation: entry.generation,
-        };
-        let frontier = entry.frontier;
-        out.push(update);
-        self.drain_waiters(stream, key, frontier, completed);
+        self.change_slot(id, predicate, recorder, out, completed);
         true
     }
 
@@ -139,43 +208,40 @@ impl FrontierEngine {
     /// callers should drain or fail them; returns the tokens of waiters
     /// that were watching the key.
     pub fn unregister(&mut self, stream: NodeId, key: &str) -> Vec<WaitToken> {
-        self.entries.remove(&(stream, key.to_owned()));
-        let mut orphaned = Vec::new();
-        self.waiters.retain(|w| {
-            if w.stream == stream && w.key == key {
-                orphaned.push(w.token);
-                false
-            } else {
-                true
+        let Some(id) = self.lookup(stream, key) else {
+            return Vec::new();
+        };
+        self.unlink(id);
+        if let Some(keys) = self.slot_of.get_mut(&stream) {
+            keys.remove(key);
+            if keys.is_empty() {
+                self.slot_of.remove(&stream);
             }
-        });
-        orphaned
+        }
+        let slot = self.slots[id as usize]
+            .take()
+            .expect("indexed slot is live");
+        self.free.push(id);
+        slot.waiters.into_iter().map(|(_, token)| token).collect()
     }
 
     /// Current `(frontier, generation)` for a key.
     pub fn frontier(&self, stream: NodeId, key: &str) -> Option<(SeqNo, u32)> {
-        self.entries
-            .get(&(stream, key.to_owned()))
-            .map(|e| (e.frontier, e.generation))
+        self.lookup(stream, key)
+            .map(|id| (self.slot(id).frontier, self.slot(id).generation))
     }
 
     /// The compiled predicate registered under a key.
     pub fn predicate(&self, stream: NodeId, key: &str) -> Option<&Predicate> {
-        self.entries
-            .get(&(stream, key.to_owned()))
-            .map(|e| &e.predicate)
+        self.lookup(stream, key).map(|id| &self.slot(id).predicate)
     }
 
-    /// Registered keys for a stream.
+    /// Registered keys for a stream, sorted.
     pub fn keys(&self, stream: NodeId) -> Vec<String> {
-        let mut keys: Vec<String> = self
-            .entries
-            .keys()
-            .filter(|(s, _)| *s == stream)
-            .map(|(_, k)| k.clone())
-            .collect();
-        keys.sort();
-        keys
+        self.slot_of
+            .get(&stream)
+            .map(|keys| keys.keys().cloned().collect())
+            .unwrap_or_default()
     }
 
     /// Block `token` until the frontier of `(stream, key)` reaches `seq`.
@@ -189,24 +255,22 @@ impl FrontierEngine {
         token: WaitToken,
         completed: &mut Vec<WaitToken>,
     ) -> Result<(), crate::error::CoreError> {
-        let Some(entry) = self.entries.get(&(stream, key.to_owned())) else {
+        let Some(id) = self.lookup(stream, key) else {
             return Err(crate::error::CoreError::UnknownPredicate(key.to_owned()));
         };
-        if entry.frontier >= seq {
+        let slot = self.slot_mut(id);
+        if slot.frontier >= seq {
             completed.push(token);
         } else {
-            self.waiters.push(Waiter {
-                stream,
-                key: key.to_owned(),
-                seq,
-                token,
-            });
+            slot.waiters.push((seq, token));
         }
         Ok(())
     }
 
     /// Re-evaluate the predicates of `stream` affected by an advance of
     /// `(node, ty)`, appending frontier updates and completed wait tokens.
+    /// Predicates are visited in key order; each moved frontier completes
+    /// its own key's waiters.
     pub fn on_ack_advance(
         &mut self,
         stream: NodeId,
@@ -217,29 +281,19 @@ impl FrontierEngine {
         completed: &mut Vec<WaitToken>,
     ) {
         let view = recorder.stream_view(stream);
-        let mut advanced: Vec<(String, SeqNo)> = Vec::new();
-        for ((s, key), entry) in self.entries.iter_mut() {
-            if *s != stream {
-                continue;
-            }
-            if !entry.predicate.dependencies().contains(&(node, ty)) {
-                continue;
-            }
+        for &id in self.index.readers(stream, node, ty) {
+            let slot = self.slots[id as usize]
+                .as_mut()
+                .expect("indexed slot is live");
             self.evals += 1;
-            let new = entry.predicate.eval(&view);
-            if new > entry.frontier {
-                entry.frontier = new;
-                out.push(FrontierUpdate {
-                    stream,
-                    key: key.clone(),
-                    seq: new,
-                    generation: entry.generation,
-                });
-                advanced.push((key.clone(), new));
+            let new = slot.predicate.eval_with(&view, &mut self.scratch);
+            if new > slot.frontier {
+                slot.frontier = new;
+                out.push(slot.update());
+                if !slot.waiters.is_empty() {
+                    slot.drain_waiters(completed);
+                }
             }
-        }
-        for (key, new) in advanced {
-            self.drain_waiters(stream, &key, new, completed);
         }
     }
 
@@ -254,10 +308,15 @@ impl FrontierEngine {
         completed: &mut Vec<WaitToken>,
     ) -> Vec<String> {
         let mut failed = Vec::new();
-        let keys: Vec<(NodeId, String)> = self.entries.keys().cloned().collect();
-        for (stream, key) in keys {
-            let entry = self.entries.get(&(stream, key.clone())).unwrap();
-            if !entry
+        let ids: Vec<SlotId> = self
+            .slot_of
+            .values()
+            .flat_map(|k| k.values())
+            .copied()
+            .collect();
+        for id in ids {
+            let slot = self.slot(id);
+            if !slot
                 .predicate
                 .dependencies()
                 .iter()
@@ -265,11 +324,9 @@ impl FrontierEngine {
             {
                 continue;
             }
-            match entry.predicate.excluding(node) {
-                Ok(rewritten) => {
-                    self.change(stream, &key, rewritten, recorder, out, completed);
-                }
-                Err(_) => failed.push(key.clone()),
+            match slot.predicate.excluding(node) {
+                Ok(rewritten) => self.change_slot(id, rewritten, recorder, out, completed),
+                Err(_) => failed.push(slot.key.clone()),
             }
         }
         failed
@@ -277,17 +334,17 @@ impl FrontierEngine {
 
     /// Number of registered predicates.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.slots.len() - self.free.len()
     }
 
     /// True if no predicates are registered.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
     /// Number of blocked waiters (for tests and introspection).
     pub fn pending_waiters(&self) -> usize {
-        self.waiters.len()
+        self.slots.iter().flatten().map(|s| s.waiters.len()).sum()
     }
 
     /// Total predicate evaluations performed (registration, change, and
@@ -296,21 +353,79 @@ impl FrontierEngine {
         self.evals
     }
 
-    fn drain_waiters(
+    fn lookup(&self, stream: NodeId, key: &str) -> Option<SlotId> {
+        self.slot_of.get(&stream)?.get(key).copied()
+    }
+
+    fn slot(&self, id: SlotId) -> &Slot {
+        self.slots[id as usize]
+            .as_ref()
+            .expect("indexed slot is live")
+    }
+
+    fn slot_mut(&mut self, id: SlotId) -> &mut Slot {
+        self.slots[id as usize]
+            .as_mut()
+            .expect("indexed slot is live")
+    }
+
+    /// [`FrontierEngine::change`] on a known slot.
+    fn change_slot(
         &mut self,
-        stream: NodeId,
-        key: &str,
-        frontier: SeqNo,
+        id: SlotId,
+        predicate: Predicate,
+        recorder: &AckRecorder,
+        out: &mut Vec<FrontierUpdate>,
         completed: &mut Vec<WaitToken>,
     ) {
-        self.waiters.retain(|w| {
-            if w.stream == stream && w.key == key && w.seq <= frontier {
-                completed.push(w.token);
-                false
-            } else {
-                true
+        self.replace(id, predicate, recorder);
+        let slot = self.slot_mut(id);
+        out.push(slot.update());
+        slot.drain_waiters(completed);
+    }
+
+    /// Swap in a new predicate for a slot: bump its generation, evaluate
+    /// it, and move the slot to the cells the new predicate reads.
+    fn replace(&mut self, id: SlotId, predicate: Predicate, recorder: &AckRecorder) {
+        self.unlink(id);
+        self.evals += 1;
+        let slot = self.slots[id as usize]
+            .as_mut()
+            .expect("indexed slot is live");
+        slot.frontier = predicate.eval_with(&recorder.stream_view(slot.stream), &mut self.scratch);
+        slot.predicate = predicate;
+        slot.generation += 1;
+        self.link(id);
+    }
+
+    /// Add a slot to the reader list of every cell its predicate reads,
+    /// keeping each list in key order.
+    fn link(&mut self, id: SlotId) {
+        let slots = &self.slots;
+        let slot = slots[id as usize].as_ref().expect("indexed slot is live");
+        for &(node, ty) in slot.predicate.dependencies() {
+            let readers = self.index.readers_mut(slot.stream, node, ty);
+            let at = readers.partition_point(|&other| {
+                let other = slots[other as usize]
+                    .as_ref()
+                    .expect("indexed slot is live");
+                other.key < slot.key
+            });
+            readers.insert(at, id);
+        }
+    }
+
+    /// Remove a slot from the reader list of every cell it is listed in.
+    fn unlink(&mut self, id: SlotId) {
+        let slot = self.slots[id as usize]
+            .as_ref()
+            .expect("indexed slot is live");
+        for &(node, ty) in slot.predicate.dependencies() {
+            let readers = self.index.readers_mut(slot.stream, node, ty);
+            if let Some(at) = readers.iter().position(|&other| other == id) {
+                readers.remove(at);
             }
-        });
+        }
     }
 }
 

@@ -19,6 +19,24 @@ use stabilizer_netsim::MsgSize;
 /// bandwidth accounting matches a real deployment.
 pub const WIRE_OVERHEAD: usize = 64;
 
+/// Most ACK cells one [`WireMsg::AckBatch`] or
+/// [`WireMsg::TransferSnapshot`] can carry: the codec counts them in a
+/// `u16`. Builders split larger tables with [`split_ack_cells`].
+pub(crate) const MAX_ACK_CELLS: usize = u16::MAX as usize;
+
+/// Split `cells` into pieces of at most [`MAX_ACK_CELLS`], in order. A
+/// table that already fits comes back as one piece without copying;
+/// an empty one yields nothing.
+pub(crate) fn split_ack_cells(mut cells: Vec<Ack>) -> impl Iterator<Item = Vec<Ack>> {
+    std::iter::from_fn(move || {
+        if cells.is_empty() {
+            return None;
+        }
+        let rest = cells.split_off(cells.len().min(MAX_ACK_CELLS));
+        Some(std::mem::replace(&mut cells, rest))
+    })
+}
+
 /// One monotonic stability report: "node X's `ty` counter for stream
 /// `stream` has reached `seq`".
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -156,7 +174,7 @@ impl WireMsg {
             }
             WireMsg::AckBatch(acks) => {
                 out.push(Self::TAG_ACKS);
-                out.extend_from_slice(&(acks.len() as u16).to_le_bytes());
+                out.extend_from_slice(&cell_count(acks).to_le_bytes());
                 for a in acks {
                     out.extend_from_slice(&a.stream.0.to_le_bytes());
                     out.extend_from_slice(&a.ty.0.to_le_bytes());
@@ -186,7 +204,7 @@ impl WireMsg {
                 out.extend_from_slice(&base.to_le_bytes());
                 out.extend_from_slice(&high.to_le_bytes());
                 out.extend_from_slice(&app_mark.to_le_bytes());
-                out.extend_from_slice(&(acks.len() as u16).to_le_bytes());
+                out.extend_from_slice(&cell_count(acks).to_le_bytes());
                 for a in acks {
                     out.extend_from_slice(&a.stream.0.to_le_bytes());
                     out.extend_from_slice(&a.ty.0.to_le_bytes());
@@ -324,6 +342,17 @@ impl MsgSize for WireMsg {
     }
 }
 
+/// The `u16` cell count of an ACK-carrying message.
+///
+/// # Panics
+///
+/// If the message holds more than [`MAX_ACK_CELLS`] cells: the count
+/// would wrap and the decoder would misread every following byte.
+fn cell_count(acks: &[Ack]) -> u16 {
+    u16::try_from(acks.len())
+        .expect("ACK message over MAX_ACK_CELLS; build it with split_ack_cells")
+}
+
 struct Reader<'a> {
     buf: &'a [u8],
     at: usize,
@@ -399,6 +428,57 @@ mod tests {
             },
         ]));
         roundtrip(WireMsg::AckBatch(vec![]));
+    }
+
+    #[test]
+    fn oversized_tables_split_into_wire_sized_pieces() {
+        // 70,000 distinct cells: more than one u16-counted message holds.
+        let table: Vec<Ack> = (0..70_000u32)
+            .map(|i| Ack {
+                stream: NodeId((i % 7) as u16),
+                ty: AckTypeId((i / 7) as u16),
+                seq: u64::from(i) * 3 + 1,
+            })
+            .collect();
+        let pieces: Vec<Vec<Ack>> = split_ack_cells(table.clone()).collect();
+        assert_eq!(
+            pieces.iter().map(Vec::len).collect::<Vec<_>>(),
+            vec![MAX_ACK_CELLS, 70_000 - MAX_ACK_CELLS]
+        );
+        let mut batches = Vec::new();
+        let mut snapshots = Vec::new();
+        for piece in pieces {
+            let batch = WireMsg::AckBatch(piece.clone());
+            match WireMsg::decode(&batch.to_bytes()).unwrap() {
+                WireMsg::AckBatch(cells) => batches.extend(cells),
+                other => panic!("decoded {other:?}"),
+            }
+            let snapshot = WireMsg::TransferSnapshot {
+                stream: NodeId(1),
+                base: 2,
+                high: 3,
+                acks: piece,
+                app_mark: 4,
+            };
+            match WireMsg::decode(&snapshot.to_bytes()).unwrap() {
+                WireMsg::TransferSnapshot { acks, .. } => snapshots.extend(acks),
+                other => panic!("decoded {other:?}"),
+            }
+        }
+        assert_eq!(batches, table);
+        assert_eq!(snapshots, table);
+        assert_eq!(split_ack_cells(Vec::new()).count(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "MAX_ACK_CELLS")]
+    fn encoding_an_oversized_batch_panics_instead_of_wrapping() {
+        let cell = Ack {
+            stream: NodeId(0),
+            ty: AckTypeId(0),
+            seq: 1,
+        };
+        WireMsg::AckBatch(vec![cell; MAX_ACK_CELLS + 1]).to_bytes();
     }
 
     #[test]

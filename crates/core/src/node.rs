@@ -14,7 +14,7 @@ use crate::config::{AnalysisMode, ClusterConfig};
 use crate::data_plane::{ReceiveState, SendBuffer};
 use crate::error::CoreError;
 use crate::frontier::{FrontierEngine, FrontierUpdate, WaitToken};
-use crate::messages::{Ack, WireMsg};
+use crate::messages::{split_ack_cells, Ack, WireMsg};
 use crate::recorder::AckRecorder;
 use bytes::Bytes;
 use stabilizer_analyze::{AckEmissions, Analyzer, Report};
@@ -152,6 +152,9 @@ pub struct StabilizerNode {
     suspected: Vec<bool>,
     next_token: WaitToken,
     actions: Vec<Action>,
+    /// Reused engine output buffers, drained into `actions` by `emit`.
+    updates: Vec<FrontierUpdate>,
+    done: Vec<WaitToken>,
     /// Original DSL sources per (stream, key), kept so predicates can be
     /// restored verbatim when an excluded node rejoins. Ordered map:
     /// `reinstate_node` iterates it and emits frontier updates, whose
@@ -263,6 +266,8 @@ impl StabilizerNode {
             suspected: vec![false; n],
             next_token: 1,
             actions: Vec::new(),
+            updates: Vec::new(),
+            done: Vec::new(),
             predicate_sources: std::collections::BTreeMap::new(),
             analysis_reports: std::collections::BTreeMap::new(),
             predicate_tolerance: std::collections::BTreeMap::new(),
@@ -553,14 +558,14 @@ impl StabilizerNode {
         // Reclaim once every live replica has received a prefix (only
         // replicas ever receive this stream). Suspected nodes are
         // excluded so a dead peer cannot pin the buffer.
-        let live: Vec<NodeId> = self
+        let min = self
             .placement
             .replicas(self.me)
             .iter()
-            .copied()
             .filter(|n| !self.suspected[n.0 as usize])
-            .collect();
-        let min = self.recorder.min_over(self.me, RECEIVED, &live);
+            .map(|&n| self.recorder.get(self.me, n, RECEIVED))
+            .min()
+            .unwrap_or(0);
         self.send_buf.reclaim(min);
     }
 
@@ -636,10 +641,14 @@ impl StabilizerNode {
         let pred = Predicate::compile(source, self.cfg.topology(), &self.acks, self.me)?
             .restricted_to(self.placement.replicas(stream))?;
         let tolerance = self.compute_tolerance(&pred);
-        let mut updates = Vec::new();
-        let mut done = Vec::new();
-        self.engine
-            .register(stream, key, pred, &self.recorder, &mut updates, &mut done);
+        self.engine.register(
+            stream,
+            key,
+            pred,
+            &self.recorder,
+            &mut self.updates,
+            &mut self.done,
+        );
         self.predicate_tolerance
             .insert((stream, key.to_owned()), tolerance);
         self.predicate_sources
@@ -648,7 +657,7 @@ impl StabilizerNode {
             self.analysis_reports
                 .insert((stream, key.to_owned()), report);
         }
-        self.emit(updates, done);
+        self.emit();
         Ok(())
     }
 
@@ -670,12 +679,14 @@ impl StabilizerNode {
         let pred = Predicate::compile(source, self.cfg.topology(), &self.acks, self.me)?
             .restricted_to(self.placement.replicas(stream))?;
         let tolerance = self.compute_tolerance(&pred);
-        let mut updates = Vec::new();
-        let mut done = Vec::new();
-        if !self
-            .engine
-            .change(stream, key, pred, &self.recorder, &mut updates, &mut done)
-        {
+        if !self.engine.change(
+            stream,
+            key,
+            pred,
+            &self.recorder,
+            &mut self.updates,
+            &mut self.done,
+        ) {
             return Err(CoreError::UnknownPredicate(key.to_owned()));
         }
         self.predicate_tolerance
@@ -686,7 +697,7 @@ impl StabilizerNode {
             self.analysis_reports
                 .insert((stream, key.to_owned()), report);
         }
-        self.emit(updates, done);
+        self.emit();
         Ok(())
     }
 
@@ -863,11 +874,9 @@ impl StabilizerNode {
     ) -> Result<WaitToken, CoreError> {
         let token = self.next_token;
         self.next_token += 1;
-        let mut done = Vec::new();
-        self.engine.waitfor(stream, key, seq, token, &mut done)?;
-        for t in done {
-            self.actions.push(Action::WaitDone { token: t });
-        }
+        self.engine
+            .waitfor(stream, key, seq, token, &mut self.done)?;
+        self.emit();
         Ok(token)
     }
 
@@ -920,10 +929,10 @@ impl StabilizerNode {
                 }
             }
         }
-        if !acks.is_empty() {
+        for cells in split_ack_cells(acks) {
             self.actions.push(Action::Send {
                 to: peer,
-                msg: WireMsg::AckBatch(acks),
+                msg: WireMsg::AckBatch(cells),
             });
         }
     }
@@ -1033,16 +1042,24 @@ impl StabilizerNode {
                 }
             }
         }
-        self.actions.push(Action::Send {
-            to: from,
-            msg: WireMsg::TransferSnapshot {
-                stream,
-                base,
-                high,
-                acks,
-                app_mark: self.app_mark,
-            },
-        });
+        // A column too large for one message goes out as several
+        // snapshots with the same header. The requester merges the cells
+        // of each; a repeated header changes nothing but draws one more
+        // TransferAck. An empty column still goes out as one snapshot:
+        // the snapshot is what closes the requester's inbound session.
+        let empty = acks.is_empty();
+        for cells in split_ack_cells(acks).chain(empty.then(Vec::new)) {
+            self.actions.push(Action::Send {
+                to: from,
+                msg: WireMsg::TransferSnapshot {
+                    stream,
+                    base,
+                    high,
+                    acks: cells,
+                    app_mark: self.app_mark,
+                },
+            });
+        }
         if base < high {
             self.transfer_out.insert(
                 from,
@@ -1410,12 +1427,10 @@ impl StabilizerNode {
     /// predicates (that would become empty) are reported via
     /// [`Action::PredicateBroken`].
     pub fn exclude_node(&mut self, node: NodeId) {
-        let mut updates = Vec::new();
-        let mut done = Vec::new();
-        let failed = self
-            .engine
-            .exclude_node(node, &self.recorder, &mut updates, &mut done);
-        self.emit(updates, done);
+        let failed =
+            self.engine
+                .exclude_node(node, &self.recorder, &mut self.updates, &mut self.done);
+        self.emit();
         for key in failed {
             self.actions.push(Action::PredicateBroken {
                 stream: self.me,
@@ -1465,11 +1480,15 @@ impl StabilizerNode {
             if has_node || !should_have {
                 continue;
             }
-            let mut updates = Vec::new();
-            let mut done = Vec::new();
-            self.engine
-                .change(stream, &key, pred, &self.recorder, &mut updates, &mut done);
-            self.emit(updates, done);
+            self.engine.change(
+                stream,
+                &key,
+                pred,
+                &self.recorder,
+                &mut self.updates,
+                &mut self.done,
+            );
+            self.emit();
         }
         Ok(())
     }
@@ -1532,16 +1551,19 @@ impl StabilizerNode {
         sb.clear_retained();
         node.send_buf = sb;
         // Re-evaluate configured predicates against the restored table.
-        let keys = node.engine.keys(me);
-        let mut updates = Vec::new();
-        let mut done = Vec::new();
-        for key in keys {
+        for key in node.engine.keys(me) {
             if let Some(pred) = node.engine.predicate(me, &key).cloned() {
-                node.engine
-                    .register(me, &key, pred, &node.recorder, &mut updates, &mut done);
+                node.engine.register(
+                    me,
+                    &key,
+                    pred,
+                    &node.recorder,
+                    &mut node.updates,
+                    &mut node.done,
+                );
             }
         }
-        node.emit(updates, done);
+        node.emit();
         Ok(node)
     }
 
@@ -1579,19 +1601,25 @@ impl StabilizerNode {
     }
 
     fn advance(&mut self, stream: NodeId, node: NodeId, ty: AckTypeId) {
-        let mut updates = Vec::new();
-        let mut done = Vec::new();
-        self.engine
-            .on_ack_advance(stream, node, ty, &self.recorder, &mut updates, &mut done);
-        self.emit(updates, done);
+        self.engine.on_ack_advance(
+            stream,
+            node,
+            ty,
+            &self.recorder,
+            &mut self.updates,
+            &mut self.done,
+        );
+        self.emit();
     }
 
-    fn emit(&mut self, updates: Vec<FrontierUpdate>, done: Vec<WaitToken>) {
-        for u in updates {
+    /// Move the engine's buffered frontier updates and completed waits
+    /// into the action queue, updates first.
+    fn emit(&mut self) {
+        for u in self.updates.drain(..) {
             self.metrics.frontier_updates += 1;
             self.actions.push(Action::Frontier(u));
         }
-        for token in done {
+        for token in self.done.drain(..) {
             self.actions.push(Action::WaitDone { token });
         }
     }
@@ -1619,35 +1647,27 @@ impl StabilizerNode {
             .map(|(&(stream, ty), &seq)| Ack { stream, ty, seq })
             .collect();
         self.pending_acks.clear();
-        if self.placement.is_full_replication() {
-            for &peer in &self.peers {
+        let full = self.placement.is_full_replication();
+        for &peer in &self.peers {
+            // Partial replication: each peer gets only the cells for
+            // streams it replicates (a non-replica neither stores the
+            // stream nor evaluates predicates over it).
+            let batch: Vec<Ack> = if full {
+                acks.clone()
+            } else {
+                acks.iter()
+                    .filter(|a| self.placement.is_replica(a.stream, peer))
+                    .cloned()
+                    .collect()
+            };
+            for cells in split_ack_cells(batch) {
                 self.metrics.control_msgs_sent += 1;
-                self.metrics.acks_sent += acks.len() as u64;
+                self.metrics.acks_sent += cells.len() as u64;
                 self.actions.push(Action::Send {
                     to: peer,
-                    msg: WireMsg::AckBatch(acks.clone()),
+                    msg: WireMsg::AckBatch(cells),
                 });
             }
-            return;
-        }
-        // Partial replication: each peer gets only the cells for streams
-        // it replicates (a non-replica neither stores the stream nor
-        // evaluates predicates over it).
-        for &peer in &self.peers {
-            let batch: Vec<Ack> = acks
-                .iter()
-                .filter(|a| self.placement.is_replica(a.stream, peer))
-                .cloned()
-                .collect();
-            if batch.is_empty() {
-                continue;
-            }
-            self.metrics.control_msgs_sent += 1;
-            self.metrics.acks_sent += batch.len() as u64;
-            self.actions.push(Action::Send {
-                to: peer,
-                msg: WireMsg::AckBatch(batch),
-            });
         }
     }
 }
@@ -1951,6 +1971,119 @@ mod tests {
         assert!(batch
             .iter()
             .any(|a| a.ty == RECEIVED && a.stream == NodeId(0)));
+    }
+
+    /// A node of `cfg()` whose registry holds `types` ACK types in all.
+    fn node_with_types(me: u16, types: usize) -> StabilizerNode {
+        let registry = AckTypeRegistry::new();
+        for i in registry.len()..types {
+            registry.register(&format!("level{i}"));
+        }
+        let opts = Options::default()
+            .ack_flush_micros(1000)
+            .transfer_millis(20);
+        StabilizerNode::new(cfg().with_options(opts), NodeId(me), Arc::new(registry)).unwrap()
+    }
+
+    /// Encode and decode every `Send` to `to`, as a transport would.
+    fn over_the_wire(actions: &[Action], to: NodeId) -> Vec<WireMsg> {
+        sends(actions)
+            .into_iter()
+            .filter(|(peer, _)| *peer == to)
+            .map(|(_, msg)| WireMsg::decode(&msg.to_bytes()).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn ack_tables_over_the_u16_limit_split_and_round_trip() {
+        use crate::messages::MAX_ACK_CELLS;
+        // 3 streams × 23,334 types = 70,002 cells per table.
+        let types = 23_334;
+        let mut donor = node_with_types(0, types);
+        let all_types = || (0..types as u16).map(AckTypeId);
+        donor.publish(Bytes::from_static(b"x")).unwrap();
+        for stream in [NodeId(1), NodeId(2)] {
+            for ty in all_types() {
+                donor.report_stability(stream, ty, 5);
+            }
+        }
+        donor.take_actions();
+        donor.on_ack_flush();
+        let actions = donor.take_actions();
+        for peer in [NodeId(1), NodeId(2)] {
+            let mut cells = Vec::new();
+            for msg in over_the_wire(&actions, peer) {
+                let WireMsg::AckBatch(batch) = msg else {
+                    panic!("unexpected {msg:?}");
+                };
+                assert!(batch.len() <= MAX_ACK_CELLS);
+                cells.extend(batch);
+            }
+            let mut expected: Vec<Ack> = (0..3u16)
+                .flat_map(|s| {
+                    all_types().map(move |ty| Ack {
+                        stream: NodeId(s),
+                        ty,
+                        seq: if s == 0 { 1 } else { 5 },
+                    })
+                })
+                .collect();
+            expected.sort_by_key(|a| (a.stream, a.ty));
+            assert_eq!(
+                cells, expected,
+                "flush to {peer:?} lost or corrupted a cell"
+            );
+        }
+
+        // Fill the donor's own-stream column, then serve a snapshot of it.
+        for peer in [NodeId(1), NodeId(2)] {
+            let acks = all_types()
+                .map(|ty| Ack {
+                    stream: NodeId(0),
+                    ty,
+                    seq: 1,
+                })
+                .collect();
+            donor.on_message(0, peer, WireMsg::AckBatch(acks));
+        }
+        donor.take_actions();
+        donor.on_message(
+            0,
+            NodeId(1),
+            WireMsg::TransferRequest {
+                stream: NodeId(0),
+                have: 0,
+            },
+        );
+        let actions = donor.take_actions();
+        let mut requester = node_with_types(1, types);
+        let mut announced = 0;
+        let mut snapshot_cells = 0;
+        for msg in over_the_wire(&actions, NodeId(1)) {
+            match &msg {
+                WireMsg::AckBatch(cells) => {
+                    assert!(cells.len() <= MAX_ACK_CELLS);
+                    announced += cells.len();
+                }
+                WireMsg::TransferSnapshot { acks, .. } => {
+                    assert!(acks.len() <= MAX_ACK_CELLS);
+                    snapshot_cells += acks.len();
+                }
+                _ => {}
+            }
+            requester.on_message(0, NodeId(0), msg);
+        }
+        assert_eq!(announced, 3 * types, "re-announced rows");
+        assert_eq!(snapshot_cells, 3 * types, "snapshot column");
+        for node in [NodeId(0), NodeId(2)] {
+            for ty in all_types() {
+                assert_eq!(
+                    requester.recorder().get(NodeId(0), node, ty),
+                    donor.recorder().get(NodeId(0), node, ty),
+                    "cell ({node:?}, {ty:?}) of the snapshot"
+                );
+            }
+        }
     }
 
     #[test]
@@ -2258,6 +2391,39 @@ mod tests {
         assert_eq!(n.metrics().transfer_chunks_received, 2);
         assert_eq!(n.metrics().transfer_fast_forwards, 1);
         assert_eq!(n.active_transfers(), 1, "stream 1 still catching up");
+    }
+
+    #[test]
+    fn idle_donors_still_close_catch_up() {
+        // Neither donor has published, so their recorded columns are
+        // empty; each must still answer with exactly one snapshot.
+        let mut donors = [transfer_node(0), transfer_node(1)];
+        let mut n = transfer_node(2);
+        n.begin_catch_up(0);
+        assert_eq!(n.active_transfers(), 2);
+        for (to, msg) in sends(&n.take_actions()) {
+            let donor = &mut donors[to.0 as usize];
+            donor.on_message(1, NodeId(2), WireMsg::decode(&msg.to_bytes()).unwrap());
+            let replies = over_the_wire(&donor.take_actions(), NodeId(2));
+            let snapshots = replies
+                .iter()
+                .filter(|m| matches!(m, WireMsg::TransferSnapshot { .. }))
+                .count();
+            assert_eq!(snapshots, 1, "donor {to:?} snapshot count");
+            assert_eq!(donor.active_transfers(), 0, "nothing to replay");
+            for reply in replies {
+                n.on_message(2, to, reply);
+            }
+        }
+        assert_eq!(n.active_transfers(), 0, "both sessions closed");
+        n.take_actions();
+        n.on_transfer_tick(1_000_000_000);
+        assert!(
+            !sends(&n.take_actions())
+                .iter()
+                .any(|(_, m)| matches!(m, WireMsg::TransferRequest { .. })),
+            "no request is re-sent once caught up"
+        );
     }
 
     #[test]

@@ -16,6 +16,7 @@ use std::sync::Arc;
 
 const TAG_PUBLISH: u64 = 10;
 const TAG_RETRANSMIT: u64 = 11;
+const TAG_ACK_FLUSH: u64 = 12;
 
 /// A paced publishing workload: `count` messages of `size` bytes at
 /// `interval` spacing.
@@ -226,6 +227,13 @@ impl Actor for StabBroker {
     type Msg = WireMsg;
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, WireMsg>) {
+        // With ACK coalescing configured, stability reports wait in the
+        // node until a flush; without this timer no ACK ever leaves and
+        // every frontier stalls.
+        let ack_flush = self.node.config().options().ack_flush_micros;
+        if ack_flush > 0 {
+            ctx.set_timer(SimDuration::from_micros(ack_flush), TAG_ACK_FLUSH);
+        }
         // The experiments run over loss-free links, so the broker never
         // needed a retransmission driver; with `retransmit_millis`
         // configured (e.g. under injected loss) pump the reliability
@@ -248,6 +256,12 @@ impl Actor for StabBroker {
     fn on_timer(&mut self, ctx: &mut Ctx<'_, WireMsg>, _t: TimerId, tag: u64) {
         match tag {
             TAG_PUBLISH => self.publish_next(ctx),
+            TAG_ACK_FLUSH => {
+                self.node.on_ack_flush();
+                self.drain(ctx);
+                let ack_flush = self.node.config().options().ack_flush_micros;
+                ctx.set_timer(SimDuration::from_micros(ack_flush), TAG_ACK_FLUSH);
+            }
             TAG_RETRANSMIT => {
                 self.node.on_retransmit_check(ctx.now().as_nanos());
                 self.drain(ctx);
@@ -287,4 +301,35 @@ pub fn build_brokers(
         )?);
     }
     Ok(Simulation::new(net, brokers, seed))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::experiment::pubsub_cfg;
+
+    #[test]
+    fn coalesced_acks_are_flushed_and_frontiers_reach_the_last_publish() {
+        let opts = pubsub_cfg().options().clone().ack_flush_micros(500);
+        let cfg = pubsub_cfg().with_options(opts);
+        let mut sim = build_brokers(&cfg, NetTopology::cloudlab_table2(), 1).unwrap();
+        let load = PublishLoad {
+            count: 20,
+            interval: SimDuration::from_millis(1),
+            size: 64,
+        };
+        sim.with_ctx(0, |b, ctx| b.start_publishing(ctx, load));
+        // The flush timer re-arms forever, so run for a bounded time
+        // (far beyond the slowest site's round trip).
+        sim.run_for(SimDuration::from_secs(2));
+        let origin = sim.actor(0);
+        assert_eq!(origin.stabilizer().last_published(), 20);
+        for site in 1..cfg.num_nodes() {
+            assert_eq!(
+                origin.frontier(&format!("site_{site}")),
+                Some(20),
+                "site {site} frontier"
+            );
+        }
+    }
 }
